@@ -220,12 +220,16 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
   // overhead that only amortizes once the active frontier is sparse, so
   // every round keys off the PREVIOUS round's first-sweep active-edge
   // count. The bag is armed (mover inserts live) only below kArmFactor x
-  // the sparse threshold; chases fire only below kChaseDensity. Round 1 is
-  // always dense, unarmed, and unchased (last_active starts at m), and a
-  // gating-off run never sees a sub-m count, so the levers idle there —
-  // the §10 epoch gate is the densitometer. The incidence index is only
+  // the sparse threshold; chases fire only below chain_density. Round 1 is
+  // always dense (no frontier is known yet); with last_active starting at
+  // m it is also unarmed for hashbag_density < 0.25 and unchased for
+  // chain_density <= 1, and a gating-off run never sees a sub-m count, so
+  // at the defaults the levers idle there — the §10 epoch gate is the
+  // densitometer. The incidence index is only
   // built once the sparse dip persists for a second round: a one-off dip
-  // (circuit5M's single sparse round) must not pay the O(m) build.
+  // (circuit5M's single sparse round) must not pay the O(m) build. A
+  // density >= 1 asks for every eligible round to go sparse, so it skips
+  // that rule: the first round with a known frontier smaller than m does.
   constexpr double kArmFactor = 4.0;
   std::uint64_t last_active = m;
   std::uint32_t sparse_streak = 0;
@@ -309,7 +313,8 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
         bag_enabled && frontier_known &&
         static_cast<double>(frontier.size()) < opts.hashbag_density * static_cast<double>(m);
     sparse_streak = sparse_ok ? sparse_streak + 1 : 0;
-    const bool sparse = sparse_ok && (sparse_streak >= 2 || !inc_off.empty());
+    const bool sparse = sparse_ok && (opts.hashbag_density >= 1.0 || sparse_streak >= 2 ||
+                                      !inc_off.empty());
 
     if (sparse) {
       if (inc_off.empty()) build_incidence();

@@ -163,9 +163,11 @@ struct EclOptions {
   /// heavy-movement rounds visit every chain edge anyway, so a chase there
   /// only duplicates work; the win is in the sparse tail, where a chase
   /// collapses whole rounds. Matches hashbag_density: the chase pays off in
-  /// exactly the rounds the sparse frontier targets. Values >= 1 chase from
-  /// the first round whose active count drops below m (tests use this to
-  /// force the chaser).
+  /// exactly the rounds the sparse frontier targets. Each round keys off
+  /// the previous round's active count, which starts at m: values > 1
+  /// chase from round 1, and exactly 1 chases from the first round after
+  /// one whose active count dropped below m, round 2 at the earliest
+  /// (tests use these to force the chaser).
   double chain_density = 0.05;
   /// Hash-bag sparse frontier (device/hash_bag.hpp): every signature
   /// movement in round r registers the vertex in a concurrent dedup bag;
@@ -177,6 +179,10 @@ struct EclOptions {
   /// never saw) — the sharded fleet instead keeps chain chasing per shard.
   bool hashbag_frontier = true;
   /// Mover-count / worklist-size ratio below which a round goes sparse.
+  /// Below 1 the index the sparse gather needs is only built once the dip
+  /// persists a second round (DESIGN.md §15); values >= 1 skip that rule,
+  /// so the first round with a known mover set smaller than the worklist
+  /// goes sparse (tests use this to force the sparse path).
   double hashbag_density = 0.05;
 
   /// Safety guard on outer iterations; 0 means |V| + 2 (the theoretical

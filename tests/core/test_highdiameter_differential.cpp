@@ -259,6 +259,26 @@ TEST(HighdiameterDifferential, ForcedSparseRoundsStayBitIdentical) {
   }
 }
 
+TEST(HighdiameterDifferential, ForcedDensityGoesSparseOnFirstEligibleRound) {
+  // Scheduling-free twin of ForcedSparseRoundsStayBitIdentical: a 4x4 grid
+  // DAG (24 edges, one block on tiny_profile) converges in two Phase-2
+  // rounds. Round 1 is dense and armed; round 2 has a known frontier below
+  // the worklist, and hashbag_density >= 1 must take it sparse at once
+  // rather than wait out the two-round persistence rule.
+  const Digraph g = graph::grid_dag(4, 4);
+  for (unsigned workers : {1u, 4u}) {
+    device::Device dev(highdiameter_profile(), workers);
+    const SccResult baseline = scc::ecl_scc(g, dev, lever_combo(0));
+    ASSERT_TRUE(baseline.ok()) << "workers=" << workers;
+    EclOptions forced = lever_combo(2);
+    forced.hashbag_density = 1.0;
+    const SccResult sparse = scc::ecl_scc(g, dev, forced);
+    ASSERT_TRUE(sparse.ok()) << "workers=" << workers;
+    EXPECT_EQ(sparse.labels, baseline.labels) << "workers=" << workers;
+    EXPECT_GT(sparse.metrics.hashbag_rounds, 0u) << "workers=" << workers;
+  }
+}
+
 TEST(HighdiameterDifferential, OmpMirrorMatchesAcrossChainLever) {
   // The OpenMP translation carries the same lever; both settings must land
   // on the same (max-ID) labels as the device run.
