@@ -1,8 +1,9 @@
-// High-diameter lever ablation (DESIGN.md §15): chain chasing, the hash-bag
-// sparse frontier, and (informationally) FB-Trim's multi-pivot + trim-chase
-// analogues, measured against the PR-5 all-on baseline (the
-// `ecl-loadbalance` registry configuration: §10 + §11 levers on, §15 levers
-// off) on the Table-2 large meshes and the Table-7 power-law stand-ins.
+// High-diameter lever ablation (DESIGN.md §15): the bounded local search in
+// every Phase-2 round on and off, and (informationally) FB-Trim's
+// multi-pivot + trim-chase analogues, measured against the
+// `ecl-loadbalance` registry configuration (§10 + §11 levers on, local
+// search off) on the Table-2 large meshes and the Table-7 power-law
+// stand-ins.
 //
 // Every run is verified against Tarjan outside the timed region. Timing is
 // best-of-N with run-major config interleaving (see config_seconds) — on a
@@ -12,12 +13,12 @@
 // BENCH_highdiameter.json (path overridable via ECL_BENCH_JSON) and
 // enforces the PR's performance contract:
 //
-//  * with all §15 levers on, at least TWO mesh families must run >= 1.3x
+//  * with the local search on, at least TWO mesh families must run >= 1.3x
 //    faster than the loadbalance baseline, at least one of them
-//    mobius-strip or torch-hex (the deep, chain-heavy sweeps the levers
-//    target), AND
+//    mobius-strip or torch-hex (the deep, chain-heavy sweeps the search
+//    targets), AND
 //  * no power-law workload may regress below 1.0x (within measurement
-//    tolerance) — the levers must be free where they cannot help.
+//    tolerance) — the search must be free where it cannot help.
 //
 // `--smoke` runs a reduced workload set and checks only that the contract
 // machinery is wired (CI smoke lanes run at tiny ECL_SCALE, where launch
@@ -56,16 +57,6 @@ struct LeverConfig {
 std::vector<LeverConfig> configs() {
   std::vector<LeverConfig> cs;
   cs.push_back({"loadbalance", scc::ecl_highdiameter_levers_off()});
-  {
-    auto o = scc::ecl_highdiameter_levers_off();
-    o.chain_chasing = true;
-    cs.push_back({"chain-only", o});
-  }
-  {
-    auto o = scc::ecl_highdiameter_levers_off();
-    o.hashbag_frontier = true;
-    cs.push_back({"hashbag-only", o});
-  }
   cs.push_back({"all-on", scc::EclOptions{}});
   return cs;
 }
@@ -74,10 +65,10 @@ struct WorkloadRow {
   std::string family;  ///< "mesh" or "powerlaw"
   Workload workload;
   std::vector<double> seconds;  ///< one entry per config
-  // §15 observability for the all-on run (summed over the workload).
+  // §15 observability for the all-on run (summed over the workload):
+  // local searches that moved a signature, and Phase-2 rounds.
   std::uint64_t chains_collapsed = 0;
-  std::uint64_t max_chain_len = 0;
-  std::uint64_t hashbag_rounds = 0;
+  std::uint64_t propagation_rounds = 0;
 };
 
 /// Times every config on one workload with run-major interleaving: each of
@@ -114,8 +105,7 @@ void verify_config(WorkloadRow& row, const scc::EclOptions& opts, device::Device
                                "' failed verification on " + row.workload.name);
     if (harvest) {
       row.chains_collapsed += r.metrics.chains_collapsed;
-      row.max_chain_len = std::max(row.max_chain_len, r.metrics.max_chain_len);
-      row.hashbag_rounds += r.metrics.hashbag_rounds;
+      row.propagation_rounds += r.metrics.propagation_rounds;
     }
   }
 }
@@ -158,8 +148,7 @@ void write_json(const std::string& path, const std::vector<LeverConfig>& cs,
       out << (c ? ", " : "") << '"' << cs[c].name << "\": " << speedup;
     }
     out << "},\n     \"chains_collapsed\": " << row.chains_collapsed
-        << ", \"max_chain_len\": " << row.max_chain_len
-        << ", \"hashbag_rounds\": " << row.hashbag_rounds << "}"
+        << ", \"propagation_rounds\": " << row.propagation_rounds << "}"
         << (w + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -232,11 +221,11 @@ int main(int argc, char** argv) {
 
   const auto cs = configs();
   std::vector<WorkloadRow> rows;
-  for (auto& w : large_mesh_workloads()) rows.push_back({"mesh", std::move(w), {}});
-  for (auto& w : power_law_workloads()) rows.push_back({"powerlaw", std::move(w), {}});
+  for (auto& w : large_mesh_workloads()) rows.push_back({"mesh", std::move(w), {}, 0, 0});
+  for (auto& w : power_law_workloads()) rows.push_back({"powerlaw", std::move(w), {}, 0, 0});
   if (smoke) {
     // Keep the two contract-target mesh families and three power-law
-    // stand-ins: enough to exercise every lever and the JSON/contract
+    // stand-ins: enough to exercise both arms and the JSON/contract
     // plumbing without a long CI lane.
     std::vector<WorkloadRow> reduced;
     std::size_t pl_kept = 0;
@@ -263,9 +252,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> headers = {"Workload", "family"};
   for (const auto& c : cs) headers.push_back(c.name + " [s]");
   for (std::size_t c = 1; c < cs.size(); ++c) headers.push_back(cs[c].name + " x");
-  headers.push_back("chains");
-  headers.push_back("longest");
-  headers.push_back("bag rounds");
+  headers.push_back("searches");
+  headers.push_back("rounds");
   TextTable table(headers);
   for (const auto& row : rows) {
     std::vector<std::string> cells = {row.workload.name, row.family};
@@ -273,8 +261,7 @@ int main(int argc, char** argv) {
     for (std::size_t c = 1; c < cs.size(); ++c)
       cells.push_back(fixed(row.seconds[c] > 0 ? row.seconds[0] / row.seconds[c] : 0.0, 2));
     cells.push_back(std::to_string(row.chains_collapsed));
-    cells.push_back(std::to_string(row.max_chain_len));
-    cells.push_back(std::to_string(row.hashbag_rounds));
+    cells.push_back(std::to_string(row.propagation_rounds));
     table.add_row(cells);
   }
   std::printf("\n== High-diameter lever ablation (best of %zu interleaved; "

@@ -236,8 +236,9 @@ int main(int argc, char** argv) {
 
   const auto cs = configs();
   std::vector<WorkloadRow> rows;
-  for (auto& w : large_mesh_workloads()) rows.push_back({"mesh", std::move(w), {}, {}});
-  for (auto& w : power_law_workloads()) rows.push_back({"powerlaw", std::move(w), {}, {}});
+  for (auto& w : large_mesh_workloads()) rows.push_back({"mesh", std::move(w), {}, {}, {}, false});
+  for (auto& w : power_law_workloads())
+    rows.push_back({"powerlaw", std::move(w), {}, {}, {}, false});
   if (smoke) {
     // Keep one mesh group and three power-law stand-ins: enough to exercise
     // every lever and the JSON/contract plumbing without a long CI lane.

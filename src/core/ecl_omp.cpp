@@ -68,41 +68,6 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
     std::atomic_ref<std::uint32_t>(epoch[v]).store(r, std::memory_order_relaxed);
   };
 
-  // The full per-edge update, shared between the round-scheduled loop and
-  // the chain chaser so both apply the identical rule.
-  auto apply_edge = [&](vid u, vid v, std::uint32_t r) noexcept {
-    bool moved = false;
-    std::uint32_t ov = load_relaxed(out[v]);
-    if (opts.path_compression) ov = load_relaxed(out[ov]);
-    if (ov > load_relaxed(out[u]) && store_max(out[u], ov)) {
-      if (opts.frontier_gating) stamp(u, r);
-      moved = true;
-    }
-    std::uint32_t iu = load_relaxed(in[u]);
-    if (opts.path_compression) iu = load_relaxed(in[iu]);
-    if (iu > load_relaxed(in[v]) && store_max(in[v], iu)) {
-      if (opts.frontier_gating) stamp(v, r);
-      moved = true;
-    }
-    return moved;
-  };
-
-  // Chain chasing (the CPU translation of the device lever, DESIGN.md §15):
-  // degree-one successor/predecessor maps over the CURRENT edge list, so a
-  // chase never walks an edge Phase 3 has removed. Rebuilt each outer
-  // iteration, after the compaction.
-  constexpr vid kNone = graph::kInvalidVid;
-  constexpr vid kMany = graph::kInvalidVid - 1;
-  std::vector<vid> succ, pred;
-  auto build_chains = [&] {
-    succ.assign(n, kNone);
-    pred.assign(n, kNone);
-    for (const auto& [u, v] : edges) {
-      succ[u] = (succ[u] == kNone) ? v : kMany;
-      pred[v] = (pred[v] == kNone) ? u : kMany;
-    }
-  };
-
   while (labeled < n) {
     if (++result.metrics.outer_iterations > guard)
       throw std::logic_error("ecl_omp: outer loop exceeded iteration guard (internal bug)");
@@ -117,8 +82,6 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
       }
     }
 
-    if (opts.chain_chasing) build_chains();
-
     // Phase 2: propagate maxima to a fixed point.
     bool updated = true;
     while (updated) {
@@ -126,9 +89,7 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
       ++result.metrics.propagation_rounds;
       const std::uint32_t r = ++round;
       std::uint64_t skipped = 0;
-      std::uint64_t chains = 0, steps = 0, longest = 0;
-#pragma omp parallel for schedule(runtime) reduction(|| : updated) \
-    reduction(+ : skipped, chains, steps) reduction(max : longest)
+#pragma omp parallel for schedule(runtime) reduction(|| : updated) reduction(+ : skipped)
       for (std::size_t i = 0; i < edges.size(); ++i) {
         const auto [u, v] = edges[i];
         if (opts.frontier_gating && load_relaxed(epoch[u]) + 1 < r &&
@@ -136,47 +97,22 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
           ++skipped;
           continue;
         }
-        const bool moved = apply_edge(u, v, r);
-        if (moved && opts.chain_chasing) {
-          // Forward down v's successor chain, then backward up u's
-          // predecessor chain, one shared budget (mirrors chase_chain in
-          // core/propagate.hpp).
-          std::uint32_t chase_budget = opts.chain_cap;
-          std::uint64_t moved_links = 0;
-          vid c = v;
-          while (chase_budget != 0) {
-            const vid w = succ[c];
-            if (w >= kMany) break;
-            --chase_budget;
-            if (!apply_edge(c, w, r)) break;
-            ++moved_links;
-            c = w;
-            if (c == v) break;  // pure cycle: one lap saturates it
-          }
-          c = u;
-          while (chase_budget != 0) {
-            const vid w = pred[c];
-            if (w >= kMany) break;
-            --chase_budget;
-            if (!apply_edge(w, c, r)) break;
-            ++moved_links;
-            c = w;
-            if (c == u) break;
-          }
-          if (moved_links != 0) {
-            ++chains;
-            steps += moved_links;
-            longest = std::max(longest, moved_links);
-          }
+        std::uint32_t ov = load_relaxed(out[v]);
+        if (opts.path_compression) ov = load_relaxed(out[ov]);
+        if (ov > load_relaxed(out[u]) && store_max(out[u], ov)) {
+          if (opts.frontier_gating) stamp(u, r);
+          updated = true;
         }
-        updated = updated || moved;
+        std::uint32_t iu = load_relaxed(in[u]);
+        if (opts.path_compression) iu = load_relaxed(in[iu]);
+        if (iu > load_relaxed(in[v]) && store_max(in[v], iu)) {
+          if (opts.frontier_gating) stamp(v, r);
+          updated = true;
+        }
       }
-      result.metrics.edges_processed += edges.size() - skipped + steps;
+      result.metrics.edges_processed += edges.size() - skipped;
       result.metrics.edges_skipped += skipped;
       if (skipped > 0) ++result.metrics.frontier_rounds;
-      result.metrics.chains_collapsed += chains;
-      result.metrics.chain_steps += steps;
-      result.metrics.max_chain_len = std::max(result.metrics.max_chain_len, longest);
     }
 
     // Detect: vin == vout identifies the component (§3.2.1).

@@ -26,12 +26,6 @@ struct EclOmpOptions {
   /// schedule(static). Off mirrors the classic device distribution with
   /// block-cyclic 512-edge chunks (schedule(static, 512)).
   bool edge_balanced = true;
-  /// Vertical granularity control (the CPU translation of the device
-  /// chain-chasing lever, DESIGN.md §15): a thread that moves a vertex on a
-  /// degree-one chain of the current edge list walks the chain locally,
-  /// collapsing one-round-per-link propagation on path-like regions.
-  bool chain_chasing = true;
-  std::uint32_t chain_cap = 64;  ///< bound on one local chase
 };
 
 /// Runs ECL-SCC on the CPU. Labels are the max vertex ID per component.

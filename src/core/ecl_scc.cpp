@@ -1,11 +1,9 @@
 #include "core/ecl_scc.hpp"
 
-#include <memory>
 #include <optional>
 
 #include "core/propagate.hpp"
 #include "core/tarjan.hpp"
-#include "device/atomics.hpp"
 #include "device/edge_partition.hpp"
 #include "device/signature_store.hpp"
 #include "device/worklist.hpp"
@@ -47,28 +45,11 @@ struct EclState {
   std::atomic<std::uint64_t> edges_skipped{0};
   std::atomic<std::uint64_t> block_iterations{0};
 
-  /// High-diameter lever state (DESIGN.md §15). The chain index is rebuilt
-  /// lazily on the control thread (the worklist is frozen for the duration
-  /// of a Phase 2) the first time a round is sparse enough to chase; the
-  /// bag pointer is non-null only while a Phase-2 sweep with the hash-bag
-  /// lever ARMED is on the device.
-  detail::ChainIndex chain;
-  bool chain_stale = true;  ///< worklist changed since the last chain build
-  /// Worklist size at the last chain build: a build that found no links is
-  /// kept authoritative until the worklist shrinks materially, so chainless
-  /// graphs do not pay an O(m) rebuild every outer iteration.
-  std::uint64_t chain_built_m = 0;
-  /// Mover-bag storage, allocated once per solve and reused across outer
-  /// iterations (a fresh round tag invalidates prior contents in O(1)).
-  std::optional<device::HashBag> bag_store;
-  device::HashBag* active_bag = nullptr;
-  /// First-sweep active (non-gated) edge count of the current round — the
-  /// density signal the §15 round-level adaptivity keys on.
-  std::atomic<std::uint64_t> active_seen{0};
-  std::atomic<std::uint64_t> chains_collapsed{0};
-  std::atomic<std::uint64_t> chain_steps{0};
-  std::atomic<std::uint64_t> max_chain_len{0};
-  std::uint64_t hashbag_rounds = 0;  ///< control thread only
+  /// Local-search index over the worklist (DESIGN.md §15), rebuilt at the
+  /// start of each Phase 2 (the worklist is frozen for its duration) into
+  /// the worklist's spare buffer.
+  detail::WorklistIncidence incidence;
+  std::atomic<std::uint64_t> searches_moved{0};  ///< searches that moved a signature
 };
 
 // The per-edge propagation bodies (monotone store dispatch, path
@@ -141,11 +122,9 @@ void restore_checkpoint(EclState& st, const EclOptions& opts, const CheckpointSt
   st.changed.store(0, std::memory_order_relaxed);
 }
 
-/// The solver's propagation view: signatures, fault hook, and (during a
-/// bag-lever Phase-2 sweep) the mover bag. Built once per kernel block.
-detail::SigView sig_view(EclState& st) noexcept {
-  return {st.sigs, st.fault, st.active_bag};
-}
+/// The solver's propagation view: signatures and fault hook. Built once per
+/// kernel block.
+detail::SigView sig_view(EclState& st) noexcept { return {st.sigs, st.fault}; }
 
 // grid_size and for_each_owned live in core/propagate.hpp (shared with the
 // fleet's per-shard kernels).
@@ -195,85 +174,16 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
   const unsigned blocks = grid_size(dev, m, opts.persistent_threads);
   const std::uint64_t budget = watchdog.phase2_round_budget();
   std::uint64_t rounds = 0;
+  // Bounded local search (DESIGN.md §15) runs in every round, from the
+  // first: gated to sparse tail rounds it saved nothing.
+  if (opts.local_search) st.incidence.build(st.n, edges, st.worklist.spare());
 
-  // Hash-bag sparse frontier (DESIGN.md §15). Every round the bag collects
-  // the vertices whose signatures moved; when that set drops below
-  // hashbag_density of the worklist, the next round gathers only the edges
-  // incident to it instead of sweeping (and gate-checking) all m edges.
-  // This visits exactly the edges the §10 gate would have processed — the
-  // gate keeps an edge live iff an endpoint moved in the previous round,
-  // and the bag records precisely those movers — so the fixpoint and labels
-  // are unchanged; late deep-mesh rounds just stop paying O(m) per level.
-  // Forced off under a phase2_hook: the hook's merges raise signatures the
-  // bag never observed, so the mover set would be incomplete.
-  const bool bag_enabled = opts.hashbag_frontier && !opts.phase2_hook;
-  if (bag_enabled && !st.bag_store)
-    st.bag_store.emplace(std::max<std::uint64_t>(256, m / 8));
-  device::HashBag* const bag = bag_enabled ? &*st.bag_store : nullptr;
-  st.active_bag = nullptr;
-  std::vector<vid> frontier;
-  // False forces a dense round: at entry (Phase 1 moved everything), after
-  // bag saturation, and implicitly after a checkpoint resume (phase 2 is
-  // re-entered fresh).
-  bool frontier_known = false;
-  // Round-level adaptivity (§15): both levers pay per-store / per-edge
-  // overhead that only amortizes once the active frontier is sparse, so
-  // every round keys off the PREVIOUS round's first-sweep active-edge
-  // count. The bag is armed (mover inserts live) only below kArmFactor x
-  // the sparse threshold; chases fire only below chain_density. Round 1 is
-  // always dense (no frontier is known yet); with last_active starting at
-  // m it is also unarmed for hashbag_density < 0.25 and unchased for
-  // chain_density <= 1, and a gating-off run never sees a sub-m count, so
-  // at the defaults the levers idle there — the §10 epoch gate is the
-  // densitometer. The incidence index is only
-  // built once the sparse dip persists for a second round: a one-off dip
-  // (circuit5M's single sparse round) must not pay the O(m) build. A
-  // density >= 1 asks for every eligible round to go sparse, so it skips
-  // that rule: the first round with a known frontier smaller than m does.
-  constexpr double kArmFactor = 4.0;
-  std::uint64_t last_active = m;
-  std::uint32_t sparse_streak = 0;
-  // Arming that never converts into a sparse round is pure insert overhead
-  // (circuit5M: the active count plateaus inside the armed band without
-  // ever dipping below the sparse threshold). After kFutileArmLimit armed
-  // rounds in a row whose harvest stayed dense, arming falls back to the
-  // strict threshold: it re-engages only once the previous round was
-  // already sparse enough that the very next harvest must pay off.
-  constexpr std::uint32_t kFutileArmLimit = 4;
-  std::uint32_t futile_arms = 0;
-  // Sparse rounds under a tiny frontier skip the launch entirely and run on
-  // the control thread — at that size the grid barrier costs more than the
-  // work (the virtual-GPU analogue of a single-warp cleanup kernel).
-  constexpr std::uint64_t kSerialSparseEdges = 8192;
-  // Lazy incidence index over the frozen worklist (vertex -> indices of the
-  // worklist edges touching it) plus per-edge round stamps so the gather
-  // emits each active edge once even when both endpoints moved.
-  std::vector<std::uint64_t> inc_off, inc_edges;
-  std::vector<std::uint32_t> edge_round;
-  std::vector<std::uint64_t> active;
-  const auto build_incidence = [&] {
-    inc_off.assign(static_cast<std::size_t>(st.n) + 1, 0);
-    for (const graph::Edge& e : edges) {
-      ++inc_off[static_cast<std::size_t>(e.src) + 1];
-      ++inc_off[static_cast<std::size_t>(e.dst) + 1];
-    }
-    for (vid v = 0; v < st.n; ++v) inc_off[v + 1] += inc_off[v];
-    inc_edges.resize(2 * m);
-    std::vector<std::uint64_t> cursor(inc_off.begin(), inc_off.end() - 1);
-    for (std::uint64_t i = 0; i < m; ++i) {
-      inc_edges[cursor[edges[i].src]++] = i;
-      inc_edges[cursor[edges[i].dst]++] = i;
-    }
-    edge_round.assign(m, 0);
-  };
   for (;;) {
     if (++rounds > budget || watchdog.expired()) {
       watchdog.mark_stalled();
-      st.active_bag = nullptr;
       return false;
     }
     st.changed.store(0, std::memory_order_relaxed);
-    st.active_seen.store(0, std::memory_order_relaxed);
     ++metrics.propagation_rounds;
     // One round of the global clock per sweep. An edge is active when either
     // endpoint's signature moved in the previous round (epoch >= r - 1) or
@@ -283,227 +193,70 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
     const std::uint32_t r = ++st.round;
     const std::uint64_t processed_before = st.edges_processed.load(std::memory_order_relaxed);
     const std::uint64_t skipped_before = st.edges_skipped.load(std::memory_order_relaxed);
-    const double arm_band = futile_arms >= kFutileArmLimit ? 1.0 : kArmFactor;
-    const bool armed = bag_enabled &&
-                       static_cast<double>(last_active) <
-                           arm_band * opts.hashbag_density * static_cast<double>(m);
-    st.active_bag = armed ? bag : nullptr;
-    if (armed) bag->begin_round(r);
 
-    bool chase_now = false;
-    if (opts.chain_chasing &&
-        static_cast<double>(last_active) < opts.chain_density * static_cast<double>(m)) {
-      if (st.chain_stale) {
-        // A build that found no links stays authoritative until the
-        // worklist shrinks materially (>= 25%): rebuilding a chainless
-        // worklist every outer iteration is O(m) of pure overhead
-        // (circuit5M pays it in every lever config otherwise).
-        const bool chainless_still = !st.chain.empty() && !st.chain.useful() &&
-                                     m * 4 > st.chain_built_m * 3;
-        if (!chainless_still) {
-          st.chain.build(st.n, edges);
-          st.chain_built_m = m;
-          st.chain_stale = false;
-        }
-      }
-      chase_now = !st.chain_stale && st.chain.useful();
-    }
-
-    const bool sparse_ok =
-        bag_enabled && frontier_known &&
-        static_cast<double>(frontier.size()) < opts.hashbag_density * static_cast<double>(m);
-    sparse_streak = sparse_ok ? sparse_streak + 1 : 0;
-    const bool sparse = sparse_ok && (opts.hashbag_density >= 1.0 || sparse_streak >= 2 ||
-                                      !inc_off.empty());
-
-    if (sparse) {
-      if (inc_off.empty()) build_incidence();
-      active.clear();
-      for (const vid v : frontier) {
-        for (std::uint64_t k = inc_off[v]; k < inc_off[static_cast<std::size_t>(v) + 1]; ++k) {
-          const std::uint64_t i = inc_edges[k];
-          if (edge_round[i] != r) {
-            edge_round[i] = r;
-            active.push_back(i);
-          }
-        }
-      }
-      // Edges the round never had to look at: the same quantity the dense
-      // gate counts as skips.
-      st.edges_skipped.fetch_add(m - active.size(), std::memory_order_relaxed);
-      ++metrics.frontier_rounds;
-      ++metrics.hashbag_rounds;
-      ++st.hashbag_rounds;
-      last_active = active.size();
-      if (active.empty()) break;  // no mover touches a worklist edge: fixpoint
-
-      if (active.size() <= kSerialSparseEdges) {
-        const detail::SigView view = sig_view(st);
-        std::uint64_t processed = 0, iters = 0;
-        std::uint64_t chains = 0, steps = 0, longest = 0;
-        bool overall = false, any;
-        do {
-          any = false;
-          ++iters;
-          for (const std::uint64_t i : active) {
-            const graph::Edge e = edges[i];
-            ++processed;
-            bool moved = detail::propagate_edge(view, e, opts, r);
-            if (opts.min_max_signatures)
-              moved |= detail::propagate_edge_min(view, e, opts, r);
-            if (moved && chase_now) {
-              const detail::ChaseResult cr = detail::chase_chain(view, st.chain, e, opts, r);
-              processed += cr.steps;
-              if (cr.moved) {
-                ++chains;
-                steps += cr.moved;
-                longest = std::max<std::uint64_t>(longest, cr.moved);
-              }
-            }
-            any |= moved;
-          }
-          overall |= any;
-        } while (opts.async_phase2 && any && iters < budget && !watchdog.expired());
-        if (overall) st.changed.store(1, std::memory_order_relaxed);
-        st.block_iterations.fetch_add(iters, std::memory_order_relaxed);
-        st.edges_processed.fetch_add(processed, std::memory_order_relaxed);
-        if (chains) {
-          st.chains_collapsed.fetch_add(chains, std::memory_order_relaxed);
-          st.chain_steps.fetch_add(steps, std::memory_order_relaxed);
-          device::atomic_fetch_max_u64(st.max_chain_len, longest);
-        }
-      } else {
-        const std::uint64_t a = active.size();
-        const std::uint64_t* act = active.data();
-        dev.launch(
-            grid_size(dev, a, opts.persistent_threads),
-            [&, r](const BlockContext& ctx) {
-              const detail::SigView view = sig_view(st);
-              std::uint64_t local_processed = 0;
-              std::uint64_t local_assigned = 0;
-              std::uint64_t local_chains = 0, local_steps = 0, local_longest = 0;
-              bool local_changed;
-              std::uint64_t local_iters = 0;
-              do {
-                local_changed = false;
-                ++local_iters;
-                for_each_owned(ctx, a, opts.edge_balanced,
-                               [&](std::uint64_t lo, std::uint64_t hi) {
-                  if (local_iters == 1) local_assigned += hi - lo;
-                  for (std::uint64_t k = lo; k < hi; ++k) {
-                    const graph::Edge e = edges[act[k]];
-                    ++local_processed;
-                    bool moved = detail::propagate_edge(view, e, opts, r);
-                    if (opts.min_max_signatures)
-                      moved |= detail::propagate_edge_min(view, e, opts, r);
-                    if (moved && chase_now) {
-                      const detail::ChaseResult cr =
-                          detail::chase_chain(view, st.chain, e, opts, r);
-                      local_processed += cr.steps;
-                      if (cr.moved) {
-                        ++local_chains;
-                        local_steps += cr.moved;
-                        local_longest = std::max<std::uint64_t>(local_longest, cr.moved);
-                      }
-                    }
-                    local_changed |= moved;
-                  }
-                });
-              } while (opts.async_phase2 && local_changed && local_iters < budget &&
-                       !watchdog.expired());
-              if (local_changed || (opts.async_phase2 && local_iters > 1))
-                st.changed.store(1, std::memory_order_relaxed);
-              st.block_iterations.fetch_add(local_iters, std::memory_order_relaxed);
-              st.edges_processed.fetch_add(local_processed, std::memory_order_relaxed);
-              if (local_chains) {
-                st.chains_collapsed.fetch_add(local_chains, std::memory_order_relaxed);
-                st.chain_steps.fetch_add(local_steps, std::memory_order_relaxed);
-                device::atomic_fetch_max_u64(st.max_chain_len, local_longest);
-              }
-              dev.record_block_work(ctx.block_id, local_assigned);
-            },
-            {.idempotent = true, .work_stealing = opts.work_stealing});
-      }
-    } else {
-      dev.launch(
-          blocks,
-          [&, r](const BlockContext& ctx) {
-            const detail::SigView view = sig_view(st);
-            std::uint64_t local_processed = 0;
-            std::uint64_t local_skipped = 0;
-            std::uint64_t local_assigned = 0;
-            std::uint64_t local_active = 0;
-            std::uint64_t local_chains = 0, local_steps = 0, local_longest = 0;
-            bool local_changed;
-            std::uint64_t local_iters = 0;
-            do {
-              local_changed = false;
-              ++local_iters;
-              for_each_owned(ctx, m, opts.edge_balanced,
-                             [&](std::uint64_t lo, std::uint64_t hi) {
-                if (local_iters == 1) local_assigned += hi - lo;
-                for (std::uint64_t i = lo; i < hi; ++i) {
-                  const graph::Edge e = edges[i];
-                  if (opts.frontier_gating && st.sigs.epoch_of(e.src) + 1 < r &&
-                      st.sigs.epoch_of(e.dst) + 1 < r) {
-                    ++local_skipped;
-                    continue;
-                  }
-                  // First-sweep (not re-iteration) active count: the round's
-                  // frontier-density signal for the §15 adaptivity.
-                  if (local_iters == 1) ++local_active;
-                  ++local_processed;
-                  bool moved = detail::propagate_edge(view, e, opts, r);
-                  if (opts.min_max_signatures)
-                    moved |= detail::propagate_edge_min(view, e, opts, r);
-                  // Vertical granularity control (§15): the edge moved a
-                  // signature; if its endpoints sit on a degree-one chain of
-                  // the worklist, walk the chain locally instead of paying a
-                  // grid barrier per link.
-                  if (moved && chase_now) {
-                    const detail::ChaseResult cr =
-                        detail::chase_chain(view, st.chain, e, opts, r);
-                    local_processed += cr.steps;
-                    if (cr.moved) {
-                      ++local_chains;
-                      local_steps += cr.moved;
-                      local_longest = std::max<std::uint64_t>(local_longest, cr.moved);
-                    }
-                  }
-                  local_changed |= moved;
+    dev.launch(
+        blocks,
+        [&, r](const BlockContext& ctx) {
+          const detail::SigView view = sig_view(st);
+          std::uint64_t local_processed = 0;
+          std::uint64_t local_skipped = 0;
+          std::uint64_t local_assigned = 0;
+          std::uint64_t local_searches = 0;
+          bool local_changed;
+          std::uint64_t local_iters = 0;
+          do {
+            local_changed = false;
+            ++local_iters;
+            for_each_owned(ctx, m, opts.edge_balanced,
+                           [&](std::uint64_t lo, std::uint64_t hi) {
+              if (local_iters == 1) local_assigned += hi - lo;
+              for (std::uint64_t i = lo; i < hi; ++i) {
+                const graph::Edge e = edges[i];
+                if (opts.frontier_gating && st.sigs.epoch_of(e.src) + 1 < r &&
+                    st.sigs.epoch_of(e.dst) + 1 < r) {
+                  ++local_skipped;
+                  continue;
                 }
-              });
-              // async_phase2: the block re-iterates its edges to a local fixed
-              // point inside one launch (§3.3); sync mode does a single sweep.
-              // The per-block sweep budget and the wall-clock check keep a
-              // fault-suppressed fixpoint from spinning forever in-kernel.
-            } while (opts.async_phase2 && local_changed && local_iters < budget &&
-                     !watchdog.expired());
-            if (local_changed || (opts.async_phase2 && local_iters > 1))
-              st.changed.store(1, std::memory_order_relaxed);
-            st.block_iterations.fetch_add(local_iters, std::memory_order_relaxed);
-            st.edges_processed.fetch_add(local_processed, std::memory_order_relaxed);
-            st.edges_skipped.fetch_add(local_skipped, std::memory_order_relaxed);
-            st.active_seen.fetch_add(local_active, std::memory_order_relaxed);
-            if (local_chains) {
-              st.chains_collapsed.fetch_add(local_chains, std::memory_order_relaxed);
-              st.chain_steps.fetch_add(local_steps, std::memory_order_relaxed);
-              device::atomic_fetch_max_u64(st.max_chain_len, local_longest);
-            }
-            // The imbalance histogram measures ASSIGNMENT skew — the edges
-            // this block owns per sweep, the quantity the edge-balance lever
-            // controls. Async in-block re-iteration counts are a convergence
-            // property with their own metric (block_iterations).
-            dev.record_block_work(ctx.block_id, local_assigned);
-          },
-          {.idempotent = true, .work_stealing = opts.work_stealing});
-      last_active = st.active_seen.load(std::memory_order_relaxed);
-    }
+                ++local_processed;
+                bool moved = detail::propagate_edge(view, e, opts, r);
+                if (opts.min_max_signatures)
+                  moved |= detail::propagate_edge_min(view, e, opts, r);
+                // Vertical granularity control (§15): carry the movement
+                // onward locally instead of paying a grid barrier per step.
+                if (moved && opts.local_search) {
+                  const detail::SearchResult sr =
+                      detail::local_search(view, st.incidence, edges, e, opts, r);
+                  local_processed += sr.visits;
+                  local_searches += sr.moved;
+                }
+                local_changed |= moved;
+              }
+            });
+            // async_phase2: the block re-iterates its edges to a local fixed
+            // point inside one launch (§3.3); sync mode does a single sweep.
+            // The per-block sweep budget and the wall-clock check keep a
+            // fault-suppressed fixpoint from spinning forever in-kernel.
+          } while (opts.async_phase2 && local_changed && local_iters < budget &&
+                   !watchdog.expired());
+          if (local_changed || (opts.async_phase2 && local_iters > 1))
+            st.changed.store(1, std::memory_order_relaxed);
+          st.block_iterations.fetch_add(local_iters, std::memory_order_relaxed);
+          st.edges_processed.fetch_add(local_processed, std::memory_order_relaxed);
+          st.edges_skipped.fetch_add(local_skipped, std::memory_order_relaxed);
+          if (local_searches)
+            st.searches_moved.fetch_add(local_searches, std::memory_order_relaxed);
+          // The imbalance histogram measures ASSIGNMENT skew — the edges
+          // this block owns per sweep, the quantity the edge-balance lever
+          // controls. Async in-block re-iteration counts are a convergence
+          // property with their own metric (block_iterations).
+          dev.record_block_work(ctx.block_id, local_assigned);
+        },
+        {.idempotent = true, .work_stealing = opts.work_stealing});
 
-    if (opts.frontier_gating || sparse) {
+    if (opts.frontier_gating) {
       const std::uint64_t processed =
           st.edges_processed.load(std::memory_order_relaxed) - processed_before;
-      if (!sparse && st.edges_skipped.load(std::memory_order_relaxed) > skipped_before)
+      if (st.edges_skipped.load(std::memory_order_relaxed) > skipped_before)
         ++metrics.frontier_rounds;
       // A shrinking active frontier is fixpoint progress even while labels
       // and worklist size are frozen mid-Phase-2; let the wall-clock
@@ -518,29 +271,6 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
     bool sweep_again = st.changed.load(std::memory_order_relaxed) != 0;
     if (opts.phase2_hook) sweep_again = opts.phase2_hook(sweep_again, st.round);
 
-    // Harvest the mover bag at the grid barrier: it becomes the candidate
-    // frontier for the next round. An unarmed round tracked nothing (the
-    // frontier was too dense to be worth it); a saturated bag means the
-    // mover set is incomplete — either way the next round falls back dense.
-    if (bag_enabled) {
-      if (!armed) {
-        frontier_known = false;
-      } else if (bag->saturated()) {
-        frontier_known = false;
-        bag->grow(bag->capacity() * 2);
-      } else {
-        const std::span<const vid> items = bag->items();
-        frontier.assign(items.begin(), items.end());
-        frontier_known = true;
-        if (frontier.size() * 2 > bag->capacity()) bag->grow(frontier.size() * 4);
-      }
-      if (armed) {
-        const bool paid_off =
-            frontier_known && static_cast<double>(frontier.size()) <
-                                  opts.hashbag_density * static_cast<double>(m);
-        futile_arms = paid_off ? 0 : futile_arms + 1;
-      }
-    }
     if (!sweep_again) break;
 
     // Another sweep is coming: this grid barrier is a quiescent point, so
@@ -554,7 +284,6 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
         take_checkpoint(st, opts, *ckpt, outer_iteration, metrics);
     }
   }
-  st.active_bag = nullptr;  // storage persists in EclState; inserts stop here
   return true;
 }
 
@@ -740,8 +469,7 @@ EclOptions ecl_loadbalance_levers_off() {
 
 EclOptions ecl_highdiameter_levers_off() {
   EclOptions opts;
-  opts.chain_chasing = false;
-  opts.hashbag_frontier = false;
+  opts.local_search = false;
   return opts;
 }
 
@@ -804,6 +532,8 @@ SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts)
   // Restores the last checkpoint and re-arms the watchdog. Returns false
   // when the ladder rung is exhausted (no snapshot, no resumes left, or the
   // absolute deadline has expired — replaying would only burn the budget).
+  // Callers read the deadline again after a refusal: it may have passed
+  // since the trip, and a refusal it caused is reported as kDeadlineExceeded.
   auto try_resume = [&]() -> bool {
     if (!ckpt.snap.valid || resumes_left == 0) return false;
     if (watchdog->deadline_expired()) return false;
@@ -853,11 +583,6 @@ SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts)
       take_checkpoint(st, opts, ckpt, result.metrics.outer_iterations, result.metrics);
     result.metrics.phase1_seconds += phase_timer.seconds();
     phase_timer.reset();
-    // Chain chasing (§15) walks only CURRENT-worklist edges; mark the
-    // degree-one index stale here so fresh iterations AND resumed ones (a
-    // restored checkpoint replaces the worklist) rebuild it — lazily, on
-    // the first round sparse enough to chase.
-    st.chain_stale = true;
     const bool converged =
         phase2_propagate(st, dev, opts, result.metrics, *watchdog,
                          checkpointing ? &ckpt : nullptr, result.metrics.outer_iterations);
@@ -865,10 +590,10 @@ SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts)
     if (!converged) {
       ++result.metrics.watchdog_trips;
       note_trip();
-      const bool deadline = watchdog->deadline_expired();
-      if (!deadline && try_resume()) continue;
+      if (try_resume()) continue;
       // A deadline trip aborts the same way a stall does but is reported
       // distinctly: the run was cancelled, not necessarily stuck.
+      const bool deadline = watchdog->deadline_expired();
       result.error =
           deadline ? SccError{SccStatus::kDeadlineExceeded,
                               "ecl_scc: request deadline expired mid-fixpoint"}
@@ -898,9 +623,13 @@ SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts)
       ++result.metrics.watchdog_trips;
       note_trip();
       if (try_resume()) continue;
-      result.error = {SccStatus::kStalled,
-                      "ecl_scc: no new labels and no worklist shrinkage for " +
-                          std::to_string(opts.watchdog.stall_rounds) + " iterations"};
+      result.error =
+          watchdog->deadline_expired()
+              ? SccError{SccStatus::kDeadlineExceeded,
+                         "ecl_scc: request deadline expired before a resume"}
+              : SccError{SccStatus::kStalled,
+                         "ecl_scc: no new labels and no worklist shrinkage for " +
+                             std::to_string(opts.watchdog.stall_rounds) + " iterations"};
       break;
     }
   }
@@ -911,12 +640,8 @@ SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts)
   result.metrics.kernel_launches = dev.stats().kernel_launches - launches_before;
   result.metrics.block_iterations = st.block_iterations.load(std::memory_order_relaxed);
   dev.stats().block_iterations += result.metrics.block_iterations;
-  result.metrics.chains_collapsed = st.chains_collapsed.load(std::memory_order_relaxed);
-  result.metrics.chain_steps = st.chain_steps.load(std::memory_order_relaxed);
-  result.metrics.max_chain_len = st.max_chain_len.load(std::memory_order_relaxed);
-  result.metrics.hashbag_rounds = st.hashbag_rounds;
+  result.metrics.chains_collapsed = st.searches_moved.load(std::memory_order_relaxed);
   dev.stats().chains_collapsed += result.metrics.chains_collapsed;
-  dev.stats().hashbag_rounds += result.metrics.hashbag_rounds;
 
   result.labels = std::move(st.labels);
   if (result.error && opts.stall_policy == StallPolicy::kSerialFallback)

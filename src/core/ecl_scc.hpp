@@ -140,50 +140,17 @@ struct EclOptions {
   /// under min_max_signatures (min-side labels name by minimum member,
   /// which a max-member remap cannot reproduce).
   bool hub_reorder = true;
-  // --- High-diameter levers (DESIGN.md §15). Pure performance transforms
-  // like the §10/§11 levers: every combination produces bit-identical
-  // labels. Both target deep SCC-DAGs (meshes), where level-synchronous
-  // rounds are the bottleneck. ---------------------------------------------
-  /// Vertical granularity control (Wang et al., PAPERS.md): when a
-  /// propagation step moves a vertex that has exactly ONE unsettled
-  /// worklist successor, the worker chases that single-successor chain
-  /// locally instead of waiting a full round per link, collapsing
-  /// O(diameter) rounds into O(diameter / chain_cap). Chains are confined
-  /// to the CURRENT worklist (never the raw CSR: Phase 3 removes cross-SCC
+  // --- High-diameter lever (DESIGN.md §15). A pure performance transform
+  // like the §10/§11 levers: labels are bit-identical either way. ---------
+  /// Vertical granularity control (Wang et al., PAPERS.md): in every Phase-2
+  /// round, an edge whose update moves a signature starts a bounded local
+  /// search (detail::local_search, core/propagate.hpp) that keeps applying
+  /// the per-edge rule to the worklist edges around it, up to a fixed budget
+  /// of edge visits, instead of leaving each further step to the next
+  /// round. Deep SCC-DAGs (meshes) then converge in far fewer rounds. The
+  /// search walks only CURRENT-worklist edges (Phase 3 removes cross-SCC
   /// edges, and propagating along a removed edge would be unsound).
-  bool chain_chasing = true;
-  /// Bound on one local chase (forward plus backward), keeping per-worker
-  /// granularity bounded. Ignored when chain_chasing is off. Deep meshes
-  /// routinely saturate a small cap (mobius-strip chases hit 64 exactly);
-  /// with per-round chase dedup (ChainIndex round stamps) a long chase is
-  /// walked once per round, so a generous cap collapses more rounds
-  /// without the quadratic re-walk risk that made small caps necessary.
-  std::uint32_t chain_cap = 256;
-  /// Active-edge / worklist-size ratio below which a round chases. Dense
-  /// heavy-movement rounds visit every chain edge anyway, so a chase there
-  /// only duplicates work; the win is in the sparse tail, where a chase
-  /// collapses whole rounds. Matches hashbag_density: the chase pays off in
-  /// exactly the rounds the sparse frontier targets. Each round keys off
-  /// the previous round's active count, which starts at m: values > 1
-  /// chase from round 1, and exactly 1 chases from the first round after
-  /// one whose active count dropped below m, round 2 at the earliest
-  /// (tests use these to force the chaser).
-  double chain_density = 0.05;
-  /// Hash-bag sparse frontier (device/hash_bag.hpp): every signature
-  /// movement in round r registers the vertex in a concurrent dedup bag;
-  /// when the mover set is below hashbag_density of the worklist, round
-  /// r+1 visits only edges incident to those movers instead of
-  /// gate-scanning the whole worklist. Falls back to the dense sweep when
-  /// the frontier re-densifies or the bag saturates. Forced off when a
-  /// phase2_hook is installed (the hook's merges raise vertices the bag
-  /// never saw) — the sharded fleet instead keeps chain chasing per shard.
-  bool hashbag_frontier = true;
-  /// Mover-count / worklist-size ratio below which a round goes sparse.
-  /// Below 1 the index the sparse gather needs is only built once the dip
-  /// persists a second round (DESIGN.md §15); values >= 1 skip that rule,
-  /// so the first round with a known mover set smaller than the worklist
-  /// goes sparse (tests use this to force the sparse path).
-  double hashbag_density = 0.05;
+  bool local_search = true;
 
   /// Safety guard on outer iterations; 0 means |V| + 2 (the theoretical
   /// bound is the number of SCCs). A trip is reported as
@@ -229,9 +196,9 @@ EclOptions ecl_hotpath_levers_off();
 /// `ecl-hotpath`, and the baseline bench_loadbalance measures against.
 EclOptions ecl_loadbalance_levers_off();
 
-/// Default configuration with only the §15 high-diameter levers disabled
-/// (chain_chasing, hashbag_frontier; fb_trim's multi_pivot/trim_chase are
-/// the FbOptions analogues) — the PR-5 all-on configuration, registered as
+/// Default configuration with the §15 high-diameter lever disabled
+/// (local_search; fb_trim's multi_pivot/trim_chase are the FbOptions
+/// analogues) — the §10 + §11 all-on configuration, registered as
 /// `ecl-loadbalance`, and the baseline bench_highdiameter measures against.
 EclOptions ecl_highdiameter_levers_off();
 

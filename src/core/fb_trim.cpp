@@ -205,9 +205,8 @@ vid device_trim(TrimView view, device::Device& dev, const FbOptions& opts,
       if (count == 0) break;
       std::atomic<std::uint64_t> chased{0};
       std::atomic<std::uint64_t> chase_seeds{0};
-      std::atomic<std::uint64_t> chase_longest{0};
       dev.launch(dev.blocks_for(n), [&](const BlockContext& ctx) {
-        std::uint64_t local_chased = 0, local_seeds = 0, local_longest = 0;
+        std::uint64_t local_chased = 0, local_seeds = 0;
         std::vector<vid> stack;
         ctx.for_each_chunk(n, [&](std::uint64_t lo, std::uint64_t hi) {
           for (std::uint64_t v = lo; v < hi; ++v) {
@@ -251,18 +250,13 @@ vid device_trim(TrimView view, device::Device& dev, const FbOptions& opts,
             if (len != 0) {
               ++local_seeds;
               local_chased += len;
-              local_longest = std::max(local_longest, len);
             }
           }
         });
         chased.fetch_add(local_chased, std::memory_order_relaxed);
         chase_seeds.fetch_add(local_seeds, std::memory_order_relaxed);
-        device::atomic_fetch_max_u64(chase_longest, local_longest);
       });
       metrics.chains_collapsed += chase_seeds.load(std::memory_order_relaxed);
-      metrics.chain_steps += chased.load(std::memory_order_relaxed);
-      metrics.max_chain_len =
-          std::max(metrics.max_chain_len, chase_longest.load(std::memory_order_relaxed));
       removed_total +=
           static_cast<vid>(count + chased.load(std::memory_order_relaxed));
     }

@@ -17,9 +17,10 @@
 // this slice.
 
 #include <algorithm>
-#include <atomic>
+#include <array>
+#include <cassert>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "device/atomics.hpp"
 #include "device/edge_partition.hpp"
 #include "device/fault.hpp"
-#include "device/hash_bag.hpp"
 #include "device/signature_store.hpp"
 #include "graph/digraph.hpp"
 
@@ -62,12 +62,6 @@ struct SigView {
   /// Delayed-visibility / lost-update fault hook; null unless the device
   /// injects it for the current launch.
   device::FaultInjector* fault = nullptr;
-  /// Sparse-frontier mover bag (DESIGN.md §15); when set, every store that
-  /// moves a signature registers the owning vertex, so the NEXT round can
-  /// visit only edges incident to this round's movers. Dedup-on-insert
-  /// makes repeated movements of one vertex (e.g. along a chased chain)
-  /// cost one frontier entry.
-  device::HashBag* bag = nullptr;
 };
 
 /// Signature store dispatch: the paper's atomic-free monotonic store or a
@@ -93,11 +87,8 @@ inline bool store_max(const SigView& st, device::AtomicU32& slot, vid owner,
   else
     moved = opts.use_atomic_max ? device::atomic_fetch_max(slot, value)
                                 : device::racy_store_max(slot, value);
-  if (moved) {
-    if (opts.frontier_gating)
-      st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
-    if (st.bag) st.bag->insert(owner);
-  }
+  if (moved && opts.frontier_gating)
+    st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
   return moved;
 }
 
@@ -111,11 +102,8 @@ inline bool store_min(const SigView& st, device::AtomicU32& slot, vid owner,
   else
     moved = opts.use_atomic_max ? device::atomic_fetch_min(slot, value)
                                 : device::racy_store_min(slot, value);
-  if (moved) {
-    if (opts.frontier_gating)
-      st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
-    if (st.bag) st.bag->insert(owner);
-  }
+  if (moved && opts.frontier_gating)
+    st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
   return moved;
 }
 
@@ -188,133 +176,122 @@ inline bool propagate_edge_min(const SigView& st, graph::Edge e, const EclOption
 }
 
 // ---------------------------------------------------------------------------
-// Vertical granularity control: chain chasing (DESIGN.md §15).
+// Vertical granularity control: bounded local search (DESIGN.md §15).
 //
-// On a path-like region of the SCC-DAG (meshes: degree ≈ 2–3), max-ID
-// propagation advances ONE link per round — a signature must land at a grid
-// barrier before the next edge's sweep can read it. A worker that just moved
-// a vertex with exactly one worklist successor can instead walk that
-// single-successor chain locally, applying the same per-edge update rule
-// link by link, collapsing up to chain_cap rounds into one.
+// On a deep SCC-DAG (meshes: degree 2–3), max-ID propagation advances one
+// edge per round: a signature must land at a grid barrier before the next
+// sweep can read it. Following Wang et al.'s vertical granularity control
+// (PAPERS.md), a worker whose edge just moved a signature keeps going
+// locally: it walks the worklist edges around that edge depth-first,
+// applying the same per-edge rule, until a fixed budget of edge visits is
+// spent, and only then returns to the round-scheduled sweep.
 //
-// Soundness: every step applies propagate_edge on an edge of the CURRENT
-// worklist — the same monotone stores, lift writes, fault semantics, and
-// epoch/bag stamping a round-scheduled visit would perform. The fixpoint is
-// a function of the edge set alone, so executing some updates early (within
-// a round) cannot change it; and because chains never leave the worklist,
-// no Phase-3-removed edge is ever traversed.
+// Soundness: every visit applies propagate_edge to an edge of the CURRENT
+// worklist, with the same monotone stores, lift writes, fault semantics
+// and epoch stamps as a round-scheduled visit. The fixpoint is a function
+// of the edge set alone, so applying some updates early cannot change it,
+// and no Phase-3-removed edge is ever traversed.
 // ---------------------------------------------------------------------------
 
-/// Degree-one successor/predecessor index over an edge worklist. succ[u] is
-/// the worklist successor of u if u has exactly one, else a sentinel;
-/// likewise pred[v]. Rebuilt whenever the worklist changes (each outer
-/// iteration; O(m) with no atomics — build on the control thread or shard
-/// runner between launches).
-struct ChainIndex {
-  /// No worklist edge touches the vertex in this direction.
-  static constexpr vid kNone = graph::kInvalidVid;
-  /// More than one edge does — chase must stop.
-  static constexpr vid kMany = graph::kInvalidVid - 1;
+/// Edge visits one local search may spend (τ).
+inline constexpr std::uint32_t kSearchBudget = 1024;
+/// Capacity of a search's vertex stack; pushes beyond it are dropped (the
+/// dropped vertex's edges are still swept by the next round).
+inline constexpr std::size_t kSearchStack = 64;
 
-  std::vector<vid> succ, pred;
-  /// Vertices with exactly one worklist successor or predecessor — the only
-  /// places a chase can take a step. Zero on dense graphs: callers then skip
-  /// the per-edge chase lookups entirely.
-  std::uint64_t links = 0;
-  /// Per-vertex round stamps deduplicating chases within one round: once a
-  /// chase has pushed through a link this round, later movers on the same
-  /// chain stop at the first already-walked vertex instead of re-walking the
-  /// whole tail (which is O(chain²) per round on path-heavy meshes). Skipped
-  /// links just propagate next round — the fixpoint, and hence the labels,
-  /// are unchanged. Rounds are monotone for the lifetime of a solve, so a
-  /// zero-fill at allocation is the only reset ever needed. Separate
-  /// forward/backward stamps: the two walks carry different signature mass
-  /// through a vertex, so one must not suppress the other.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> fwd_stamp, bwd_stamp;
-  std::size_t stamp_size = 0;
+/// Incidence CSR over a frozen worklist: for vertex v, the indices of the
+/// worklist edges with v as source or target are entries offset[v] ..
+/// offset[v + 1]. The 2m 32-bit entries are packed two to a graph::Edge
+/// slot of caller-provided storage — the worklist's spare buffer, idle for
+/// the whole of Phase 2 and already m slots long — so the index costs no
+/// memory per edge; the offsets keep their capacity across rebuilds. The
+/// index is valid until Phase 3 next appends into that storage: rebuild it
+/// at each Phase 2. build() declines, leaving the index empty, when 2m does
+/// not fit 32 bits.
+class WorklistIncidence {
+ public:
+  bool empty() const noexcept { return offset_.empty(); }
 
-  bool empty() const noexcept { return succ.empty(); }
-  bool useful() const noexcept { return links != 0; }
-
-  void build(std::size_t n, std::span<const graph::Edge> edges) {
-    succ.assign(n, kNone);
-    pred.assign(n, kNone);
-    if (stamp_size != n) {
-      fwd_stamp.reset(new std::atomic<std::uint32_t>[n]());
-      bwd_stamp.reset(new std::atomic<std::uint32_t>[n]());
-      stamp_size = n;
-    }
-    links = 0;
+  /// Indexes `edges` in `slots` (at least edges.size() long, disjoint from
+  /// `edges`).
+  void build(std::size_t n, std::span<const graph::Edge> edges, std::span<graph::Edge> slots) {
+    offset_.clear();
+    if (edges.empty() || 2 * edges.size() > std::numeric_limits<std::uint32_t>::max()) return;
+    assert(slots.size() >= edges.size() && "WorklistIncidence: 2m entries need m slots");
+    slots_ = slots;
+    offset_.assign(n + 1, 0);
     for (const graph::Edge& e : edges) {
-      succ[e.src] = (succ[e.src] == kNone) ? e.dst : kMany;
-      pred[e.dst] = (pred[e.dst] == kNone) ? e.src : kMany;
+      ++offset_[static_cast<std::size_t>(e.src) + 1];
+      ++offset_[static_cast<std::size_t>(e.dst) + 1];
     }
-    for (std::size_t v = 0; v < n; ++v) {
-      if (succ[v] < kMany) ++links;
-      if (pred[v] < kMany) ++links;
+    for (std::size_t v = 0; v < n; ++v) offset_[v + 1] += offset_[v];
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      set(offset_[edges[i].src]++, static_cast<std::uint32_t>(i));
+      set(offset_[edges[i].dst]++, static_cast<std::uint32_t>(i));
     }
-  }
-};
-
-/// Result of one chase: links that moved a signature, and the chase length.
-struct ChaseResult {
-  std::uint32_t steps = 0;    ///< links traversed (moved or not)
-  std::uint32_t moved = 0;    ///< links whose update moved a signature
-};
-
-/// Chases the single-successor chain forward from e.dst and the
-/// single-predecessor chain backward from e.src, applying the full per-edge
-/// update at each link, until a link stops moving signatures, the chain
-/// branches (kMany), dead-ends (kNone), revisits its start (cycle), another
-/// chase already walked the link this round (round stamps; pass round == 0
-/// to disable, e.g. in the sharded engine's per-shard sweeps), or the
-/// combined budget `opts.chain_cap` is spent. Call after propagate_edge(e)
-/// reported movement. Thread-safe: only monotone stores touch shared state,
-/// and a stamp race at worst duplicates a walk it meant to skip.
-inline ChaseResult chase_chain(const SigView& st, const ChainIndex& chain, graph::Edge e,
-                               const EclOptions& opts, std::uint32_t round) noexcept {
-  ChaseResult r;
-  std::uint32_t budget = opts.chain_cap;
-
-  // Forward: e.dst just absorbed new signature mass; push it down the chain.
-  vid u = e.dst;
-  const vid fwd_start = u;
-  while (budget != 0) {
-    const vid w = chain.succ[u];
-    if (w >= ChainIndex::kMany) break;  // kMany or kNone
-    if (round != 0) {
-      if (chain.fwd_stamp[w].load(std::memory_order_relaxed) == round) break;
-      chain.fwd_stamp[w].store(round, std::memory_order_relaxed);
-    }
-    --budget;
-    ++r.steps;
-    bool any = propagate_edge(st, {u, w}, opts, round);
-    if (opts.min_max_signatures) any |= propagate_edge_min(st, {u, w}, opts, round);
-    if (!any) break;
-    ++r.moved;
-    u = w;
-    if (u == fwd_start) break;  // pure cycle: one lap saturates it
+    // The fill advanced each offset to its successor's start; shift back.
+    for (std::size_t v = n; v > 0; --v) offset_[v] = offset_[v - 1];
+    offset_[0] = 0;
   }
 
-  // Backward: e.src's in-signature may now pull its lone predecessor's
-  // ancestors forward; walk the predecessor chain re-applying the rule.
-  vid v = e.src;
-  const vid bwd_start = v;
-  while (budget != 0) {
-    const vid w = chain.pred[v];
-    if (w >= ChainIndex::kMany) break;
-    if (round != 0) {
-      if (chain.bwd_stamp[w].load(std::memory_order_relaxed) == round) break;
-      chain.bwd_stamp[w].store(round, std::memory_order_relaxed);
+  std::uint32_t begin(vid v) const noexcept { return offset_[v]; }
+  std::uint32_t end(vid v) const noexcept { return offset_[static_cast<std::size_t>(v) + 1]; }
+  /// The worklist index stored at entry k.
+  std::uint32_t edge(std::uint32_t k) const noexcept {
+    const graph::Edge& slot = slots_[k >> 1];
+    return (k & 1) != 0 ? slot.dst : slot.src;
+  }
+
+ private:
+  void set(std::uint32_t k, std::uint32_t edge_index) noexcept {
+    graph::Edge& slot = slots_[k >> 1];
+    ((k & 1) != 0 ? slot.dst : slot.src) = edge_index;
+  }
+
+  std::vector<std::uint32_t> offset_;
+  std::span<graph::Edge> slots_;
+};
+
+/// Outcome of one local search: edge visits made, and whether any of them
+/// moved a signature.
+struct SearchResult {
+  std::uint32_t visits = 0;
+  bool moved = false;
+};
+
+/// Runs one bounded local search from an edge `e` whose update just moved a
+/// signature. Both endpoints seed a small stack; each popped vertex has the
+/// per-edge rule applied to every incident worklist edge, and the far
+/// endpoint of each edge that moved anything is pushed. Stops when the stack
+/// empties or kSearchBudget visits are spent.
+///
+/// Under a store fault (SigView::fault set) the search does nothing: a
+/// deferred store still reports movement, so a walk would keep re-pushing
+/// the same vertices, spending the whole budget on every mover and
+/// stretching a stalled sweep far past its watchdog budget.
+///
+/// Thread-safe: only the monotone stores touch shared state.
+inline SearchResult local_search(const SigView& st, const WorklistIncidence& inc,
+                                 std::span<const graph::Edge> edges, graph::Edge e,
+                                 const EclOptions& opts, std::uint32_t round) noexcept {
+  SearchResult r;
+  if (st.fault || inc.empty()) return r;
+  std::array<vid, kSearchStack> stack;
+  std::size_t top = 0;
+  stack[top++] = e.src;
+  stack[top++] = e.dst;
+  while (top != 0) {
+    const vid v = stack[--top];
+    for (std::uint32_t k = inc.begin(v); k < inc.end(v); ++k) {
+      if (r.visits == kSearchBudget) return r;
+      ++r.visits;
+      const graph::Edge f = edges[inc.edge(k)];
+      bool moved = propagate_edge(st, f, opts, round);
+      if (opts.min_max_signatures) moved |= propagate_edge_min(st, f, opts, round);
+      if (!moved) continue;
+      r.moved = true;
+      if (top < kSearchStack) stack[top++] = f.src == v ? f.dst : f.src;
     }
-    --budget;
-    ++r.steps;
-    bool any = propagate_edge(st, {w, v}, opts, round);
-    if (opts.min_max_signatures) any |= propagate_edge_min(st, {w, v}, opts, round);
-    if (!any) break;
-    ++r.moved;
-    v = w;
-    if (v == bwd_start) break;
   }
   return r;
 }

@@ -56,8 +56,8 @@ const std::vector<std::pair<std::string, SccAlgorithm>>& table() {
       // partner of the default (reordered, edge-balanced) configuration.
       {"ecl-hotpath",
        [](const Digraph& g) { return ecl_scc(g, shared_device(), ecl_loadbalance_levers_off()); }},
-      // The PR-5 all-on configuration (§10 + §11 on, §15 high-diameter
-      // levers off): the baseline bench_highdiameter measures against.
+      // The §10 + §11 all-on configuration with the §15 local search off:
+      // the baseline bench_highdiameter measures against.
       {"ecl-loadbalance",
        [](const Digraph& g) { return ecl_scc(g, shared_device(), ecl_highdiameter_levers_off()); }},
       {"gpu-scc-a100", [](const Digraph& g) { return fb_trim(g, shared_device()); }},

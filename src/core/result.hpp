@@ -56,24 +56,20 @@ struct SccMetrics {
 
   /// Frontier gating (DESIGN.md §10): edge visits skipped because both
   /// endpoints were quiescent, and the number of propagation rounds in
-  /// which at least one edge was skipped. Hash-bag sparse rounds (§15)
-  /// also count here — every edge they never had to gate-check is a skip.
-  /// Zero when both the gate and the hash bag are off.
+  /// which at least one edge was skipped. Zero when the gate is off.
   std::uint64_t edges_skipped = 0;
   std::uint64_t frontier_rounds = 0;
 
-  /// High-diameter levers (DESIGN.md §15). Chain chasing: single-successor
-  /// chains collapsed into one worker's local walk (each collapse saves a
-  /// whole propagation round for that chain), steps taken across all of
-  /// them, and the longest single chase. Hash bag: Phase-2 rounds served
-  /// from the sparse mover bag instead of a dense worklist sweep.
+  /// High-diameter levers (DESIGN.md §15). chains_collapsed: ECL-SCC local
+  /// searches that moved at least one edge (their edge visits count in
+  /// edges_processed); FB-Trim: trim chases that removed at least one
+  /// vertex. hashbag_rounds is kept for readers of the earlier sparse
+  /// mover-bag frontier, which the local search replaced; it reads 0.
   /// Multi-pivot FB: forward/backward rounds that ran with >1 pivot, total
   /// pivots selected across all rounds, and the mean pivots per round
   /// (over ALL fb rounds, single-pivot ones included). All zero when the
   /// corresponding lever is off.
   std::uint64_t chains_collapsed = 0;
-  std::uint64_t chain_steps = 0;
-  std::uint64_t max_chain_len = 0;
   std::uint64_t hashbag_rounds = 0;
   std::uint64_t multi_pivot_rounds = 0;
   std::uint64_t pivots_selected = 0;

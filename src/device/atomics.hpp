@@ -64,21 +64,6 @@ inline bool racy_store_min(AtomicU32& slot, std::uint32_t value) noexcept {
   return false;
 }
 
-using AtomicU64 = std::atomic<std::uint64_t>;
-
-/// CAS-loop atomic max on a 64-bit counter (metrics high-water marks, e.g.
-/// SccMetrics::max_chain_len). Returns true if the stored value changed.
-inline bool atomic_fetch_max_u64(AtomicU64& slot, std::uint64_t value) noexcept {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (value > cur) {
-    if (slot.compare_exchange_weak(cur, value, std::memory_order_relaxed,
-                                   std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace ecl::device
 
 #endif  // ECL_DEVICE_ATOMICS_HPP

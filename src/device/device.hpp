@@ -97,8 +97,8 @@ struct LaunchStats {
   std::uint64_t blocks_executed = 0;
   std::uint64_t block_iterations = 0;  ///< async-kernel internal repeats (§3.3)
   std::uint64_t spurious_replays = 0;  ///< fault-injected block re-executions
-  std::uint64_t chains_collapsed = 0;  ///< chain chases that moved ≥1 link (§15)
-  std::uint64_t hashbag_rounds = 0;    ///< Phase-2 rounds served sparsely (§15)
+  std::uint64_t chains_collapsed = 0;  ///< local searches that moved ≥1 edge (§15)
+  std::uint64_t hashbag_rounds = 0;    ///< retired sparse-frontier rounds; reads 0 (§15)
 
   /// Per-block edge-work histogram (DESIGN.md §11): cumulative work units
   /// reported via Device::record_block_work, indexed by block id and sized

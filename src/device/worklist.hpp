@@ -63,6 +63,12 @@ class EdgeWorklist {
   /// shrinks the edge set, so a correct kernel can never exceed it).
   std::size_t capacity() const noexcept { return buffers_[1 - cur_].size(); }
 
+  /// The spare buffer as scratch space. Only Phase-3 appends write it, so
+  /// between a swap_buffers() or reset() and the next append its contents
+  /// are free for other use: the Phase-2 local search keeps its incidence
+  /// index there (core/propagate.hpp). Not thread-safe.
+  std::span<graph::Edge> spare() noexcept { return buffers_[1 - cur_]; }
+
   /// Thread-safe append into the *next* buffer (Phase-3 survivors). A push
   /// past capacity — a kernel double-appending, e.g. under a spurious
   /// re-execution fault — asserts in debug builds; in release builds the

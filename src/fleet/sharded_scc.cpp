@@ -14,7 +14,6 @@
 #include "core/tarjan.hpp"
 #include "core/verify.hpp"
 #include "core/watchdog.hpp"
-#include "device/atomics.hpp"
 #include "device/signature_store.hpp"
 #include "device/worklist.hpp"
 #include "fleet/graph_router.hpp"
@@ -47,20 +46,17 @@ struct Shard {
   std::size_t device = 0;  ///< pool device index
   std::unique_ptr<EdgeWorklist> worklist;
   std::unique_ptr<SignatureStore> sigs;
-  /// Degree-one chain index over THIS shard's worklist (DESIGN.md §15).
-  /// Foreign vertices have no owned out-edge, so their succ slot is kNone
-  /// and a chase stops at the shard boundary — the boundary exchange, not
-  /// the chaser, moves values across shards. Rebuilt lazily (chain_dirty)
+  /// Local-search index over THIS shard's worklist (DESIGN.md §15). A
+  /// search walks only owned edges, so the boundary exchange, not the
+  /// search, moves values across shards. Rebuilt lazily (incidence_dirty)
   /// whenever the worklist changes: initially, after Phase-3 compaction,
-  /// and after a checkpoint restore.
-  scc::detail::ChainIndex chain;
-  bool chain_dirty = true;
+  /// and after a checkpoint restore, into the worklist's spare buffer.
+  scc::detail::WorklistIncidence incidence;
+  bool incidence_dirty = true;
   std::atomic<std::uint32_t> changed{0};
   std::atomic<std::uint64_t> edges_processed{0};
   std::atomic<std::uint64_t> block_iterations{0};
-  std::atomic<std::uint64_t> chains_collapsed{0};
-  std::atomic<std::uint64_t> chain_steps{0};
-  std::atomic<std::uint64_t> max_chain_len{0};
+  std::atomic<std::uint64_t> searches_moved{0};
   /// Wall-clock of this shard's last sweep launch, written by its device's
   /// group thread and read by the coordinator strictly after the lockstep
   /// join (straggler detection).
@@ -307,14 +303,13 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
     const Timer sweep_timer;
     device::Device& dev = pool.at(sh.device);
     device::FaultInjector* fault = fault_of(sh);
-    // Chain index over the shard's own worklist (callers of sweep are
-    // barrier-separated from the points that set chain_dirty, so the lazy
-    // rebuild is race-free even when shards sweep concurrently).
-    if (eo.chain_chasing && sh.chain_dirty) {
-      sh.chain.build(n, edges);
-      sh.chain_dirty = false;
+    // Search index over the shard's own worklist (callers of sweep are
+    // barrier-separated from the points that set incidence_dirty, so the
+    // lazy rebuild is race-free even when shards sweep concurrently).
+    if (eo.local_search && sh.incidence_dirty) {
+      sh.incidence.build(n, edges, sh.worklist->spare());
+      sh.incidence_dirty = false;
     }
-    const bool chasing = eo.chain_chasing && sh.chain.useful();
     dev.launch(
         scc::detail::grid_size(dev, m, eo.persistent_threads),
         [&](const BlockContext& ctx) {
@@ -322,9 +317,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
           std::uint64_t local_processed = 0;
           std::uint64_t local_assigned = 0;
           std::uint64_t local_iters = 0;
-          std::uint64_t local_chains = 0;
-          std::uint64_t local_steps = 0;
-          std::uint64_t local_longest = 0;
+          std::uint64_t local_searches = 0;
           bool local_changed;
           do {
             local_changed = false;
@@ -335,15 +328,11 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
                   for (std::uint64_t i = lo; i < hi; ++i) {
                     ++local_processed;
                     const bool moved = scc::detail::propagate_edge(view, edges[i], eo, 0);
-                    if (moved && chasing) {
-                      const scc::detail::ChaseResult cr =
-                          scc::detail::chase_chain(view, sh.chain, edges[i], eo, 0);
-                      if (cr.moved != 0) {
-                        ++local_chains;
-                        local_steps += cr.moved;
-                        local_longest = std::max<std::uint64_t>(local_longest, cr.moved);
-                      }
-                      local_processed += cr.steps;
+                    if (moved && eo.local_search) {
+                      const scc::detail::SearchResult sr = scc::detail::local_search(
+                          view, sh.incidence, edges, edges[i], eo, 0);
+                      local_processed += sr.visits;
+                      local_searches += sr.moved;
                     }
                     local_changed |= moved;
                   }
@@ -354,11 +343,8 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
             sh.changed.store(1, std::memory_order_relaxed);
           sh.block_iterations.fetch_add(local_iters, std::memory_order_relaxed);
           sh.edges_processed.fetch_add(local_processed, std::memory_order_relaxed);
-          if (local_chains != 0) {
-            sh.chains_collapsed.fetch_add(local_chains, std::memory_order_relaxed);
-            sh.chain_steps.fetch_add(local_steps, std::memory_order_relaxed);
-            device::atomic_fetch_max_u64(sh.max_chain_len, local_longest);
-          }
+          if (local_searches != 0)
+            sh.searches_moved.fetch_add(local_searches, std::memory_order_relaxed);
           dev.record_block_work(ctx.block_id, local_assigned);
         },
         {.idempotent = true, .work_stealing = eo.work_stealing});
@@ -459,7 +445,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
         {.idempotent = false, .work_stealing = eo.work_stealing});
     const std::size_t before = sh.worklist->size();
     sh.worklist->swap_buffers();
-    sh.chain_dirty = true;  // worklist changed: next sweep rebuilds the chains
+    sh.incidence_dirty = true;  // worklist changed: next sweep rebuilds the index
     edges_removed.fetch_add(before - sh.worklist->size(), std::memory_order_relaxed);
   };
 
@@ -503,7 +489,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
         sh.sigs->vout(v).store(ckpt.vout[v], std::memory_order_relaxed);
       }
       sh.worklist->reset(std::span<const graph::Edge>(ckpt.worklists[s]));
-      sh.chain_dirty = true;  // restored worklist: chains must be rebuilt
+      sh.incidence_dirty = true;  // restored worklist: the index must be rebuilt
       sh.changed.store(0, std::memory_order_relaxed);
       sh.straggler_streak = 0;
     }
@@ -595,8 +581,9 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
 
   // Straggler detection after each sweep join: a shard slower than the
   // median-multiple budget (and the absolute noise floor) earns a flag;
-  // `patience` consecutive flags record a kStraggler fault and migrate the
-  // shard to the least-loaded surviving peer. Migration is graceful — the
+  // `patience` consecutive flags migrate the shard to the least-loaded
+  // surviving peer and record a kStraggler fault against the device it
+  // left; with no peer to move to, nothing is charged. Migration is graceful — the
   // device is slow, not faulted, so its replica state is intact and no
   // checkpoint restore is needed. The lower median keeps K = 2 sane (the
   // upper median would be the straggler's own time).
@@ -621,12 +608,15 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
       ++result.metrics.stragglers_flagged;
       if (sh.straggler_streak < opts.straggler.patience) continue;
       sh.straggler_streak = 0;
-      pool.record(sh.device, service::FaultKind::kStraggler);
       std::vector<char> avoid = ejected;
       avoid[sh.device] = 1;
       GraphRouter::Lease next =
           router.place_excluding(std::max<std::uint64_t>(1, sh.worklist->size()), avoid);
-      if (!next.valid()) continue;  // nowhere to go: keep limping
+      // Nowhere to go: keep limping, uncharged. Charging a device that has
+      // no peer would only pile faults on it until the registry ejects the
+      // pool's last device and fails the solve.
+      if (!next.valid()) continue;
+      pool.record(sh.device, service::FaultKind::kStraggler);
       leases[s].release();
       sh.device = next.device_index();
       leases[s] = std::move(next);
@@ -757,12 +747,9 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
     const std::uint64_t iters = sh.block_iterations.load(std::memory_order_relaxed);
     result.metrics.block_iterations += iters;
     pool.at(sh.device).stats().block_iterations += iters;
-    const std::uint64_t sh_chains = sh.chains_collapsed.load(std::memory_order_relaxed);
-    result.metrics.chains_collapsed += sh_chains;
-    result.metrics.chain_steps += sh.chain_steps.load(std::memory_order_relaxed);
-    result.metrics.max_chain_len = std::max(
-        result.metrics.max_chain_len, sh.max_chain_len.load(std::memory_order_relaxed));
-    pool.at(sh.device).stats().chains_collapsed += sh_chains;
+    const std::uint64_t sh_searches = sh.searches_moved.load(std::memory_order_relaxed);
+    result.metrics.chains_collapsed += sh_searches;
+    pool.at(sh.device).stats().chains_collapsed += sh_searches;
   }
   result.metrics.edges_removed = edges_removed.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < pool.size(); ++i)
@@ -818,12 +805,6 @@ SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& 
   eo.min_max_signatures = false;
   eo.frontier_gating = false;
   eo.phase2_hook = nullptr;
-  // The hash-bag sparse frontier assumes one device observes every movement;
-  // a shard's bag cannot see exchange-raised boundary values, so the lever
-  // is forced off. Chain chasing stays ON: each shard's index covers only
-  // its owned edges, so chases are confined to the shard and the usual
-  // boundary exchange remains the sole cross-shard channel.
-  eo.hashbag_frontier = false;
 
   const auto attempt = [&]() -> SccResult {
     if (num_shards <= 1) {

@@ -150,22 +150,13 @@ RecoveryStats SccService::recovery_stats() const {
   r.stragglers_flagged = stats_.stragglers_flagged.load(std::memory_order_relaxed);
   r.straggler_migrations = stats_.straggler_migrations.load(std::memory_order_relaxed);
   r.chains_collapsed = stats_.chains_collapsed.load(std::memory_order_relaxed);
-  r.chain_steps = stats_.chain_steps.load(std::memory_order_relaxed);
-  r.max_chain_len = stats_.max_chain_len.load(std::memory_order_relaxed);
   r.hashbag_rounds = stats_.hashbag_rounds.load(std::memory_order_relaxed);
   return r;
 }
 
 void SccService::fold_highdiameter_stats(const scc::SccMetrics& metrics) {
   stats_.chains_collapsed.fetch_add(metrics.chains_collapsed, std::memory_order_relaxed);
-  stats_.chain_steps.fetch_add(metrics.chain_steps, std::memory_order_relaxed);
   stats_.hashbag_rounds.fetch_add(metrics.hashbag_rounds, std::memory_order_relaxed);
-  // Monotone max via CAS: concurrent workers may fold at once.
-  std::uint64_t seen = stats_.max_chain_len.load(std::memory_order_relaxed);
-  while (metrics.max_chain_len > seen &&
-         !stats_.max_chain_len.compare_exchange_weak(seen, metrics.max_chain_len,
-                                                     std::memory_order_relaxed)) {
-  }
 }
 
 void SccService::worker_loop() {

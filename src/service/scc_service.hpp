@@ -161,10 +161,8 @@ struct RecoveryStats {
   std::uint64_t stragglers_flagged = 0;      ///< over-budget shard sweeps observed
   std::uint64_t straggler_migrations = 0;    ///< shards preemptively migrated off slow devices
   // High-diameter levers (DESIGN.md §15), aggregated across fresh computes.
-  std::uint64_t chains_collapsed = 0;        ///< chain chases that moved a signature
-  std::uint64_t chain_steps = 0;             ///< total signature moves inside chases
-  std::uint64_t max_chain_len = 0;           ///< longest single chase observed
-  std::uint64_t hashbag_rounds = 0;          ///< Phase-2 rounds run off the sparse bag
+  std::uint64_t chains_collapsed = 0;        ///< local searches that moved a signature
+  std::uint64_t hashbag_rounds = 0;          ///< retired sparse-frontier rounds; reads 0
 };
 
 class SccService {
@@ -259,8 +257,6 @@ class SccService {
     std::atomic<std::uint64_t> stragglers_flagged{0};
     std::atomic<std::uint64_t> straggler_migrations{0};
     std::atomic<std::uint64_t> chains_collapsed{0};
-    std::atomic<std::uint64_t> chain_steps{0};
-    std::atomic<std::uint64_t> max_chain_len{0};
     std::atomic<std::uint64_t> hashbag_rounds{0};
   };
 
@@ -268,8 +264,8 @@ class SccService {
   static constexpr std::size_t kNoPoolDevice = static_cast<std::size_t>(-1);
 
   void worker_loop();
-  /// Accumulates the §15 high-diameter lever counters of one solver attempt
-  /// (chases, hash-bag rounds) into the service-wide stats.
+  /// Accumulates the §15 high-diameter counters of one solver attempt
+  /// (local searches that moved a signature) into the service-wide stats.
   void fold_highdiameter_stats(const scc::SccMetrics& metrics);
   Response process(Pending& pending, device::Device& dev, std::size_t pool_index);
   void serve_labels(Pending& pending, device::Device& dev, std::size_t pool_index,

@@ -273,12 +273,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rec.quarantines),
               static_cast<unsigned long long>(rec.probations),
               static_cast<unsigned long long>(rec.readmissions));
-  std::printf("high-diameter: %llu chains collapsed (%llu steps, longest %llu); "
-              "%llu hash-bag sparse rounds\n",
-              static_cast<unsigned long long>(rec.chains_collapsed),
-              static_cast<unsigned long long>(rec.chain_steps),
-              static_cast<unsigned long long>(rec.max_chain_len),
-              static_cast<unsigned long long>(rec.hashbag_rounds));
+  std::printf("high-diameter: %llu local searches moved a signature\n",
+              static_cast<unsigned long long>(rec.chains_collapsed));
   if (show_device_stats)
     std::printf("fleet recovery: %llu failovers, %llu shards re-homed; "
                 "stragglers %llu flagged, %llu migrated\n",
